@@ -40,7 +40,7 @@ def main() -> None:
               f"runtime {m.show()}", flush=True)
 
     print("\n=== BACKEND ABLATION (running example) ===", flush=True)
-    for backend, n in (("engine", 150), ("mil", 150), ("sqlite", 25)):
+    for backend, n in (("engine", 150), ("mil", 150), ("sqlite", 150)):
         db = Connection(backend=backend, catalog=avalanche_dataset(n))
         q = running_example_query(db)
         db.run(q)  # warm-up (loads SQLite)

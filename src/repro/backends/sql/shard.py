@@ -164,17 +164,10 @@ class ShardedSQLiteBackend(Backend):
 
     def describe_prepared(self,
                           prepared: "list[ShardedQuery]") -> list[str]:
-        """Single-image SQL stamped with dialect/driver and the shard
-        decision (reason code + fan-out)."""
-        out = []
+        """Single-image SQL stamped with dialect/driver.  The shard
+        decision is rendered once, by EXPLAIN, from ``shard_decisions``."""
         stamp = f"-- dialect {self.dialect.name} ({self.adapter.describe()})"
-        for sq in prepared:
-            fanout = (f"fan-out {self.shards}" if sq.decision.shardable
-                      else "single-image fallback")
-            out.append(f"{stamp}\n-- shard decision: "
-                       f"{sq.decision.describe()}; {fanout}\n"
-                       f"{sq.single.text}")
-        return out
+        return [f"{stamp}\n{sq.single.text}" for sq in prepared]
 
     def shard_decisions(self,
                         bundle: Bundle) -> "list[ShardDecision]":

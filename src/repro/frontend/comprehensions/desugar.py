@@ -92,9 +92,11 @@ def _schedule_guards(quals: tuple[P.PQual, ...]) -> list[P.PQual]:
     """Attach each guard conjunct at the earliest qualifier that binds its
     variables (classic comprehension guard pushdown).
 
-    Filtering early keeps generator cross products small -- the
-    comprehension-level half of the paper's "join graph isolation" [10];
-    the compiler's decorrelation rule (``repro.core``) is the other half.
+    A conjunct that :func:`fusible` accepts for its target generator is
+    fused into that generator's source.  Filtering early keeps generator
+    cross products small -- the comprehension-level half of the paper's
+    "join graph isolation" [10]; the compiler's decorrelation rule
+    (``repro.core``) is the other half.
     Guards never move across a ``group by`` (it rebinds every variable);
     moving across sorts and unrelated generators is semantics-preserving
     for the pure predicates the query language admits.
@@ -118,8 +120,11 @@ def _schedule_guards(quals: tuple[P.PQual, ...]) -> list[P.PQual]:
             bound_after.append(set(bound))
             return
         qual, _ = slots[target]
-        if (isinstance(qual, FusedGen)
-                and deps & bound <= _pat_names(qual.pat)):
+        sides = (conj.lhs, conj.rhs) if (isinstance(conj, P.PBin)
+                                         and conj.op == "eq") else ()
+        if isinstance(qual, FusedGen) and fusible(
+                deps & bound, [_names(s) & bound for s in sides],
+                _pat_names(qual.pat)):
             qual.fused.append(conj)
         else:
             slots[target][1].append(conj)
@@ -144,6 +149,29 @@ def _schedule_guards(quals: tuple[P.PQual, ...]) -> list[P.PQual]:
         out.append(qual)
         out.extend(P.PGuard(g) for g in guards)
     return out
+
+
+def fusible(deps: set[str], eq_sides: list[set[str]],
+            pat: set[str]) -> bool:
+    """Whether a guard conjunct may filter a generator's source before the
+    source is paired with the outer stream.
+
+    ``deps`` are the stream variables the conjunct mentions, ``pat`` the
+    ones the generator's pattern binds, and ``eq_sides`` the stream
+    variables of each side when the conjunct is an equality (else empty).
+    A conjunct fuses when it mentions only ``pat`` variables, or when it is
+    a *key equality*: one side mentions only ``pat`` variables and the
+    other none of them.  The decorrelation rule (``repro.core``) compiles
+    such a filter over a loop-invariant source into an equi-join keyed on
+    both sides, instead of a filter over the loop x source product.
+    """
+    if deps <= pat:
+        return True
+    if len(eq_sides) != 2:
+        return False
+    lhs, rhs = eq_sides
+    return bool(lhs and lhs <= pat and not rhs & pat
+                or rhs and rhs <= pat and not lhs & pat)
 
 
 class FusedGen(P.PQual):

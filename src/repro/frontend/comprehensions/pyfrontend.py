@@ -15,6 +15,11 @@ mapping of Python builtins onto the query prelude (``len`` -> ``length``,
 ``sum``, ``max``/``min``, ``any``/``all``, ``sorted(key=...)``,
 ``reversed``, ``enumerate``, ``zip``, ``abs``, ``float``).
 
+As in ``qc``, each ``and`` conjunct of an ``if`` that ``desugar.fusible``
+accepts filters its generator's source before the source is paired with
+the stream, so an equality across generators (``f == f2`` above) compiles
+to a join key rather than a filter over a cross product.
+
 Python has no ``group by`` comprehension syntax; grouping is reached via
 ``group_with`` / the ``qc`` quoter.
 """
@@ -28,6 +33,7 @@ from ...errors import ComprehensionSyntaxError, QTypeError
 from ...ftypes import ListT
 from .. import combinators as C
 from ..q import Q, cond, max_q, min_q, to_q, tup
+from .desugar import fusible
 
 
 def pyq(source: str, **env: Any) -> Q:
@@ -59,32 +65,75 @@ def pye(source: str, **env: Any) -> Q:
 def _comp(node: "ast.ListComp | ast.GeneratorExp", env: dict) -> Q:
     stream: Q | None = None
     binders: dict[str, Callable[[Q], Q]] = {}
+    bound: set[str] = set()
     for gen in node.generators:
         if gen.is_async:
             raise ComprehensionSyntaxError("async comprehensions are not queries")
-        stream, binders = _add_gen(gen.target, gen.iter, stream, binders, env)
-        for guard in gen.ifs:
+        pat = _names(gen.target)
+        bound |= pat
+        fused, after = [], []
+        for conj in (c for guard in gen.ifs for c in _conjuncts(guard)):
+            sides = ([conj.left, conj.comparators[0]]
+                     if isinstance(conj, ast.Compare) and len(conj.ops) == 1
+                     and isinstance(conj.ops[0], ast.Eq) else [])
+            key = fusible(_names(conj) & bound,
+                          [_names(s) & bound for s in sides], pat)
+            (fused if key else after).append(conj)
+        stream, binders = _add_gen(gen.target, gen.iter, fused, stream,
+                                   binders, env)
+        for guard in after:
             stream = C.ffilter(
                 lambda t, g=guard: _expr(g, _scope(binders, t, env)), stream)
     assert stream is not None  # Python grammar guarantees >= 1 generator
     return C.fmap(lambda t: _expr(node.elt, _scope(binders, t, env)), stream)
 
 
-def _add_gen(target: ast.expr, src: ast.expr, stream: Q | None,
-             binders: dict, env: dict):
+def _conjuncts(node: ast.expr) -> list[ast.expr]:
+    """Split a guard into its top-level ``and`` conjuncts."""
+    if isinstance(node, ast.BoolOp) and isinstance(node.op, ast.And):
+        return [c for v in node.values for c in _conjuncts(v)]
+    return [node]
+
+
+def _names(node: ast.AST) -> set[str]:
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+
+def _add_gen(target: ast.expr, src: ast.expr, fused: list[ast.expr],
+             stream: Q | None, binders: dict, env: dict):
     if stream is None:
-        srcq = _as_list(_expr(src, dict(env)))
+        srcq = _source(target, src, fused, dict(env))
         fresh: dict[str, Callable[[Q], Q]] = {}
         _bind(target, lambda t: t, fresh)
         return srcq, fresh
     new = C.concat_map(
         lambda t: C.fmap(
             lambda y: tup(t, y),
-            _as_list(_expr(src, _scope(binders, t, env)))),
+            _source(target, src, fused, _scope(binders, t, env))),
         stream)
     shifted = {n: (lambda t, ex=ex: ex(t[0])) for n, ex in binders.items()}
     _bind(target, lambda t: t[1], shifted)
     return new, shifted
+
+
+def _source(target: ast.expr, src: ast.expr, fused: list[ast.expr],
+            scope: dict) -> Q:
+    """A generator's source, filtered by its fused guard conjuncts before
+    it is paired with the stream (see ``desugar.fusible``)."""
+    srcq = _as_list(_expr(src, scope))
+    if not fused:
+        return srcq
+    own: dict[str, Callable[[Q], Q]] = {}
+    _bind(target, lambda y: y, own)
+
+    def pred(y: Q) -> Q:
+        inner = {**scope, **{n: ex(y) for n, ex in own.items()}}
+        out = to_q(_expr(fused[0], inner))
+        for conj in fused[1:]:
+            out = out & to_q(_expr(conj, inner))
+        return out
+
+    return C.ffilter(pred, srcq)
 
 
 def _bind(target: ast.expr, extract: Callable[[Q], Q], binders: dict) -> None:

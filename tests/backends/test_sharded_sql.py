@@ -126,16 +126,20 @@ class TestFailurePropagation:
 
 
 class TestObservability:
-    def test_describe_prepared_names_dialect_and_decision(self, avalanche):
+    def test_describe_prepared_names_dialect(self, avalanche):
         sharded = Connection(shards=2, catalog=avalanche)
         report = sharded.explain(nested_probe(sharded))
-        fallback, scattered = (q.artifact for q in report.queries)
-        for artifact in (fallback, scattered):
-            assert "-- dialect sqlite (driver sqlite3" in artifact
-        assert "-- shard decision: F401" in fallback
-        assert "single-image fallback" in fallback
-        assert "-- shard decision: S400" in scattered
-        assert "fan-out 2" in scattered
+        for q in report.queries:
+            assert "-- dialect sqlite (driver sqlite3" in q.artifact
+            assert "shard decision" not in q.artifact
+
+    def test_each_decision_rendered_once(self, avalanche):
+        sharded = Connection(shards=2, catalog=avalanche)
+        text = str(sharded.explain(nested_probe(sharded)))
+        assert text.count("shard decision") == 2
+        assert text.count("F401") == 1 and text.count("S400") == 1
+        assert text.count("single-image fallback") == 1
+        assert text.count("fan-out 2") == 1
 
     def test_render_includes_decision_lines(self, avalanche):
         sharded = Connection(shards=2, catalog=avalanche)

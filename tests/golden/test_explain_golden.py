@@ -21,8 +21,10 @@ import re
 import pytest
 
 from repro import Connection
+from repro.algebra import node_count
 from repro.bench.table1 import running_example_query
-from repro.bench.workloads import paper_dataset
+from repro.bench.workloads import orders_dataset, paper_dataset
+from tests.backends.test_parallel_bundles import nested_report
 
 DATA = pathlib.Path(__file__).parent / "data"
 UPDATE = os.environ.get("UPDATE_GOLDENS") == "1"
@@ -87,6 +89,16 @@ def render_analyze(backend: str) -> str:
 def test_running_example_analyze_matches_golden(backend):
     check_golden(f"analyze_running_example_{backend}",
                  render_analyze(backend))
+
+
+def test_nested_orders_sql_matches_golden():
+    """The nested orders report has no cross-generator guard, so guard
+    fusion must leave its plan alone: same node counts, same SQL."""
+    db = Connection(backend="sqlite", catalog=orders_dataset(40))
+    compiled = db.compile(nested_report(db))
+    chunks = [f"nodes: {[node_count(q.plan) for q in compiled.bundle.queries]}"]
+    chunks += [q.artifact for q in db.explain(nested_report(db)).queries]
+    check_golden("nested_orders_sqlite", "\n".join(chunks) + "\n")
 
 
 def test_goldens_agree_on_the_algebra_plans():

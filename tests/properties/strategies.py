@@ -31,6 +31,8 @@ from repro import (
     null,
     number,
     or_q,
+    pyq,
+    qc,
     reverse,
     singleton,
     sort_with,
@@ -253,3 +255,37 @@ def typed_values(draw):
     """A (type, value) pair from the Ferry value universe."""
     ty = draw(ferry_types)
     return ty, draw(value_of(ty))
+
+
+# ----------------------------------------------------------------------
+# two-generator comprehensions joined by a cross-generator key equality
+# ----------------------------------------------------------------------
+
+_PAIRS_T = ListT(TupleT((IntT, IntT)))
+#: Keys from a 4-value pool (duplicate-heavy); payloads from ``ints``.
+_keyed_pairs = st.lists(st.tuples(st.integers(0, 3), ints), max_size=6)
+
+#: (qc/pyq key equality, non-key conjunct) templates over the patterns
+#: ``(a, b) <- xs`` and ``(c, d) <- ys``; ``K`` is a small constant.
+_KEYS = ("b == c", "c == b", "b + K == c", "c == b - K", "(b, a) == (c, d)")
+_RESTS = ("a < d", "d != K", "a + d > K", "not (a == d)")
+
+
+@st.composite
+def key_join_comprehension(draw):
+    """``[head | (a, b) <- xs, (c, d) <- ys, key and rest]`` spelled with
+    ``qc`` or ``pyq``: the key equality correlates the two generators (so
+    guard fusion turns it into a join key), the rest is a plain filter.
+    Sources may be empty and share no key."""
+    k = str(draw(st.integers(0, 3)))
+    key = draw(st.sampled_from(_KEYS)).replace("K", k)
+    rest = draw(st.sampled_from(_RESTS)).replace("K", k)
+    conjuncts = draw(st.permutations([key, rest]))
+    head = draw(st.sampled_from(["(a, d)", "a + d"]))
+    env = {name: to_q(draw(_keyed_pairs), hint=_PAIRS_T)
+           for name in ("xs", "ys")}
+    if draw(st.booleans()):
+        return qc(f"[{head} | (a, b) <- xs, (c, d) <- ys,"
+                  f" {conjuncts[0]}, {conjuncts[1]}]", **env)
+    return pyq(f"[{head} for (a, b) in xs for (c, d) in ys"
+               f" if {conjuncts[0]} and {conjuncts[1]}]", **env)

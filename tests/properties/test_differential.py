@@ -14,10 +14,17 @@ from hypothesis import given
 from .support import prop_settings
 
 from repro import Connection
+from repro.analysis import set_verify_debug
 from repro.runtime import Catalog
 from repro.semantics import Interpreter
 
-from .strategies import any_query, int_list_query, nested_query, scalar_query
+from .strategies import (
+    any_query,
+    int_list_query,
+    key_join_comprehension,
+    nested_query,
+    scalar_query,
+)
 
 CATALOG = Catalog()
 SETTINGS = prop_settings(40)
@@ -58,3 +65,20 @@ class TestDifferential:
     @given(any_query())
     def test_mixed_shapes(self, q):
         run_everywhere(q)
+
+    @SETTINGS
+    @given(key_join_comprehension())
+    def test_key_equality_joins(self, q):
+        """Guard fusion turns the cross-generator equality into a join key;
+        every backend, re-verified after each optimizer pass, and the plan
+        without decorrelation must still agree with the interpreter."""
+        previous = set_verify_debug(True)
+        try:
+            expected = Interpreter(CATALOG).run(q.exp)
+            for backend in ("engine", "sqlite", "mil"):
+                db = Connection(backend=backend, catalog=CATALOG)
+                assert db.run(q) == expected, f"{backend} diverged"
+            naive = Connection(catalog=CATALOG, decorrelate=False)
+            assert naive.run(q) == expected, "decorrelate=False diverged"
+        finally:
+            set_verify_debug(previous)

@@ -5,8 +5,12 @@ compliant relational system.  The paper used PostgreSQL 9.0; here any
 PEP 249 driver can play that role through the adapter layer in
 :mod:`repro.backends.sql.dbapi` (the default adapter wraps the stdlib
 ``sqlite3``: window functions, CTEs).  Catalog tables are loaded once per
-catalog version; each bundle member is a single SQL statement, so the
-connection's statement count directly measures avalanches (Table 1).
+catalog version.  Each bundle member runs as its staged script (see
+:mod:`repro.backends.sql.generate`) inside one transaction that is always
+rolled back, which discards its temporary tables.  The script's length
+depends only on the plan's shape, so a member still counts as one
+statement and the connection's statement count directly measures
+avalanches (Table 1).
 
 With ``parallel=True`` the bundle's statements fan out over a thread
 pool.  DB-API connections are single-thread objects, so every worker
@@ -78,9 +82,11 @@ class SQLiteBackend(Backend):
 
     def describe_prepared(self, prepared: "list[GeneratedSQL]") -> list[str]:
         """The generated SQL statements, each stamped with the dialect
-        and DB-API driver that produced and will host it."""
+        and DB-API driver that produced and will host it, and with the
+        temp tables and indexes its executed script stages."""
         stamp = f"-- dialect {self.dialect.name} ({self.adapter.describe()})"
-        return [f"{stamp}\n{gen.text}" for gen in prepared]
+        return [f"{stamp}\n-- staged: {gen.temp_tables} temp tables, "
+                f"{gen.indexes} indexes\n{gen.text}" for gen in prepared]
 
     def _executor(self, n_queries: int) -> ThreadPoolExecutor:
         if self._pool is None:
@@ -182,15 +188,20 @@ class SQLiteBackend(Backend):
 
     def run_sql(self, gen: GeneratedSQL, query: SerializedQuery,
                 conn=None) -> list[tuple]:
-        """Execute one generated statement and convert values back.
+        """Execute one member's staged script and convert values back.
 
+        The script runs in one transaction that is rolled back on
+        success and failure alike, so no temporary table outlives it.
         Does *not* bump ``statements_executed`` -- the bundle loop does,
         from the coordinating thread, so the counter never races."""
         if conn is None:
             conn = self._conn
         clear_udf_error()
+        statement = "BEGIN"
         try:
-            cursor = conn.execute(gen.text)
+            conn.execute(statement)
+            for statement in gen.script:
+                cursor = conn.execute(statement)
             raw_rows = cursor.fetchall()
         except Exception as err:
             udf_err = take_udf_error()
@@ -198,7 +209,9 @@ class SQLiteBackend(Backend):
                 raise udf_err from None
             raise ExecutionError(
                 f"{self.dialect.name} rejected generated SQL: {err}\n"
-                f"{gen.text}") from None
+                f"{statement}") from None
+        finally:
+            conn.rollback()
         converters = [self.dialect.from_db_value(ty)
                       for ty in query.item_types]
         rows = []

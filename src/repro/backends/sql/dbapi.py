@@ -128,6 +128,25 @@ class Dialect:
             TimeT: "TEXT",
         }[ty]
 
+    def base_table(self, name: str) -> str:
+        """Reference to catalog table ``name`` in a FROM clause."""
+        return self.quote_ident(name)
+
+    def temp_table(self, name: str, schema: "dict[str, AtomT]", source: str,
+                   keys: "list[tuple[str, ...]]") -> list[str]:
+        """Statements staging query ``source`` into the temporary table
+        ``name`` with columns ``schema``, plus one index per key column
+        tuple in ``keys``.  The executor's ROLLBACK drops them all."""
+        q = self.quote_ident
+        cols = ", ".join(f"{q(c)} {self.type_name(ty)}"
+                         for c, ty in schema.items())
+        statements = [f"CREATE TEMP TABLE {name} ({cols})",
+                      f"INSERT INTO {name}\n{source}"]
+        for i, key in enumerate(keys):
+            statements.append(f"CREATE INDEX {name}_k{i} ON {name} "
+                              f"({', '.join(q(c) for c in key)})")
+        return statements
+
     # -- literals ------------------------------------------------------
     def literal(self, value: Any, ty: AtomT) -> str:
         if ty == BoolT:
@@ -181,11 +200,15 @@ class SQLiteDialect(Dialect):
     """SQLite's rendering of the standard dialect.
 
     SQLite accepts every fragment the base dialect emits (it grew window
-    functions in 3.25), so the subclass only renames itself -- kept as a
-    distinct class so engine-specific overrides have an obvious home.
+    functions in 3.25).  The one override qualifies catalog tables with
+    their schema, so neither a CTE nor a temporary table of the same name
+    (the generator's ``t0000``...) can shadow them.
     """
 
     name = "sqlite"
+
+    def base_table(self, name: str) -> str:
+        return "main." + self.quote_ident(name)
 
 
 #: The default dialect (module-level singleton; the generator and both

@@ -1,18 +1,32 @@
 """SQL:1999 code generation from table-algebra plans.
 
 The Pathfinder role (step 3 of Figure 2): lower an optimized algebra DAG
-into a single SQL:1999 statement built from common table expressions, with
+into SQL:1999 built from common table expressions, with
 ``ROW_NUMBER()``/``DENSE_RANK()`` window functions carrying the order and
 surrogate encodings -- the same shapes as the appendix of the paper
 ("binding due to rank operator", "binding due to duplicate elimination").
 
-Every operator node becomes one ``WITH`` binding (``t0000``, ``t0001``,
-...); shared subplans are emitted once, mirroring the DAG.  Engine
-quirks -- identifier quoting, type names, literal syntax, window-function
-spellings -- are delegated to a :class:`~repro.backends.sql.dbapi.Dialect`
-(default: SQLite); division and modulus are emitted as the UDF names the
-adapter registers so that Haskell's flooring ``div``/``mod`` semantics
-survive the translation.
+Every operator node is rendered once, as one binding named ``t0000``,
+``t0001``, ...; shared subplans appear once, mirroring the DAG.  The
+renderings are assembled two ways:
+
+* ``text``: a single ``WITH`` statement binding every node -- the EXPLAIN
+  artifact and the appendix golden;
+* ``script``: what the backends execute.  A host engine cannot index a
+  CTE, so every join input would be scanned by nested loops.  The script
+  instead stages the plan into temporary tables: a node becomes a table
+  when it is the root, is referenced more than once, or is an input of
+  an ``EqJoin``/``SemiJoin``/``AntiJoin``; each join input gets one index
+  per distinct join-key column set.  Every other node is inlined as a CTE
+  of the one ``INSERT`` that consumes it.  The script ends in the ordered
+  ``SELECT``; its length depends only on the plan's shape.
+
+Engine quirks -- identifier quoting, type names, literal syntax, window-
+function spellings, base-table qualification, temp-table DDL -- are
+delegated to a :class:`~repro.backends.sql.dbapi.Dialect` (default:
+SQLite); division and modulus are emitted as the UDF names the adapter
+registers so that Haskell's flooring ``div``/``mod`` semantics survive
+the translation.
 """
 
 from __future__ import annotations
@@ -48,10 +62,14 @@ from .dbapi import SQLITE_DIALECT, Dialect
 
 @dataclass
 class GeneratedSQL:
-    """One SQL statement of the bundle."""
+    """One bundle member: its single-statement form and its staged
+    script, rendered from one walk over the plan."""
 
-    text: str
+    text: str  # the WITH statement (EXPLAIN artifact, never executed)
     columns: tuple[str, ...]  # iter, pos, item... in output order
+    script: tuple[str, ...]  # staging statements, then the final SELECT
+    temp_tables: int  # CREATE TEMP TABLEs in ``script``
+    indexes: int  # CREATE INDEXes in ``script``
 
 
 # Module-level helpers bound to the default (SQLite) dialect, kept for
@@ -73,24 +91,56 @@ def quote_ident(name: str) -> str:
 def generate_sql(root: Node, out_cols: tuple[str, ...],
                  order_by: tuple[str, ...],
                  dialect: Dialect = SQLITE_DIALECT) -> GeneratedSQL:
-    """Generate one SQL statement computing the plan ``root``, projecting
+    """Generate the SQL computing the plan ``root``, projecting
     ``out_cols`` and ordering the result by ``order_by``."""
     q = dialect.quote_ident
+    nodes = list(postorder(root))
     names: dict[int, str] = {}
+    bodies: list[str] = []
     ctes: list[str] = []
     memo: dict = {}
-    for i, node in enumerate(postorder(root)):
+    uses: dict[int, int] = {}
+    # join input -> one key column tuple per distinct key column set
+    keys: dict[int, list[tuple[str, ...]]] = {}
+    for i, node in enumerate(nodes):
         name = f"t{i:04d}"
         names[id(node)] = name
         body = _render(node, names, memo, dialect)
         cols = ", ".join(q(c) for c in schema_of(node, memo))
+        bodies.append(body)
         ctes.append(f"{name}({cols}) AS (\n{body}\n)")
+        for child in node.children:
+            uses[id(child)] = uses.get(id(child), 0) + 1
+        if isinstance(node, (EqJoin, SemiJoin, AntiJoin)):
+            for side, child in enumerate(node.children):
+                key = tuple(pair[side] for pair in node.pairs)
+                seen = keys.setdefault(id(child), [])
+                if all(set(k) != set(key) for k in seen):
+                    seen.append(key)
     select = ", ".join(q(c) for c in out_cols)
     order = ", ".join(f"{q(c)} ASC" for c in order_by)
-    text = ("WITH\n" + ",\n".join(ctes)
-            + f"\nSELECT {select}\nFROM {names[id(root)]}"
-            + (f"\nORDER BY {order}" if order_by else "") + ";")
-    return GeneratedSQL(text, out_cols)
+    final = (f"SELECT {select}\nFROM {names[id(root)]}"
+             + (f"\nORDER BY {order}" if order_by else ""))
+    text = "WITH\n" + ",\n".join(ctes) + f"\n{final};"
+
+    staged = {id(root)} | set(keys) | {n for n, k in uses.items() if k > 1}
+    script: list[str] = []
+    # An unstaged node has exactly one consumer: its CTE, preceded by
+    # those of its own unstaged inputs, travels up to the staged node
+    # whose INSERT reads it.
+    inlined: dict[int, list[str]] = {}
+    for node, body, cte in zip(nodes, bodies, ctes):
+        local = [c for child in node.children if id(child) not in staged
+                 for c in inlined.pop(id(child))]
+        if id(node) not in staged:
+            inlined[id(node)] = local + [cte]
+            continue
+        source = "WITH\n" + ",\n".join(local) + "\n" + body if local else body
+        script += dialect.temp_table(names[id(node)], schema_of(node, memo),
+                                     source, keys.get(id(node), []))
+    script.append(final)
+    return GeneratedSQL(text, out_cols, tuple(script), len(staged),
+                        sum(len(k) for k in keys.values()))
 
 
 # ----------------------------------------------------------------------
@@ -125,7 +175,7 @@ def _render(node: Node, names: dict[int, str], memo, d: Dialect) -> str:
     if isinstance(node, TableScan):
         cols = ", ".join(f"{q(src)} AS {q(out)}"
                          for out, src, _ in node.columns)
-        return f"  SELECT {cols}\n  FROM {q(node.table)}"
+        return f"  SELECT {cols}\n  FROM {d.base_table(node.table)}"
 
     child = names[id(node.children[0])] if node.children else None
 

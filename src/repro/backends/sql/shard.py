@@ -54,7 +54,7 @@ from ...runtime.catalog import Catalog
 from ..base import Backend, ExecutionResult, observe_query_time
 from .backend import SQLiteBackend
 from .dbapi import Adapter, SQLiteAdapter
-from .generate import GeneratedSQL, generate_sql
+from .generate import GeneratedSQL
 
 
 @dataclass
@@ -151,23 +151,19 @@ class ShardedSQLiteBackend(Backend):
             gens = None
             if decision.shardable:
                 gens = tuple(
-                    self._generate(build_shard_plan(query, self.shards, k))
+                    self._image.generate(
+                        build_shard_plan(query, self.shards, k))
                     for k in range(self.shards))
             prepared.append(ShardedQuery(self._image.generate(query),
                                          decision, gens))
         return prepared
 
-    def _generate(self, query: SerializedQuery) -> GeneratedSQL:
-        out_cols = (query.iter_col, query.pos_col) + query.item_cols
-        return generate_sql(query.plan, out_cols,
-                            (query.iter_col, query.pos_col), self.dialect)
-
     def describe_prepared(self,
                           prepared: "list[ShardedQuery]") -> list[str]:
-        """Single-image SQL stamped with dialect/driver.  The shard
-        decision is rendered once, by EXPLAIN, from ``shard_decisions``."""
-        stamp = f"-- dialect {self.dialect.name} ({self.adapter.describe()})"
-        return [f"{stamp}\n{sq.single.text}" for sq in prepared]
+        """Single-image SQL, stamped as the single-image backend stamps
+        it.  The shard decision is rendered once, by EXPLAIN, from
+        ``shard_decisions``."""
+        return self._image.describe_prepared([sq.single for sq in prepared])
 
     def shard_decisions(self,
                         bundle: Bundle) -> "list[ShardDecision]":

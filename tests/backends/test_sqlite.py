@@ -7,13 +7,21 @@ DENSE_RANK bindings carrying surrogates in the inner query.
 """
 
 import datetime
+import sqlite3
 
 import pytest
 
-from repro import Connection, PartialFunctionError, fmap, to_q
-from repro.backends.sql import SQLiteBackend, render_literal, sql_type
+from repro import Connection, PartialFunctionError, fmap, pyq, to_q
+from repro.backends.sql import (
+    SQLiteAdapter,
+    SQLiteBackend,
+    render_literal,
+    sql_type,
+)
 from repro.bench.table1 import running_example_query
+from repro.bench.workloads import orders_dataset, paper_dataset
 from repro.ftypes import BoolT, DateT, DoubleT, IntT, StringT, TimeT
+from tests.backends.test_parallel_bundles import nested_report
 
 
 @pytest.fixture()
@@ -114,3 +122,85 @@ class TestExecution:
         db = Connection(backend="sqlite")
         db.create_table("t", [("n", int)], [])
         assert db.run(db.table("t")) == []
+
+
+class _SharedAdapter(SQLiteAdapter):
+    """Records every connection it opens, and lets the test thread
+    inspect the ones opened by worker threads."""
+
+    def __init__(self):
+        super().__init__()
+        self.opened: list[sqlite3.Connection] = []
+
+    def connect(self) -> sqlite3.Connection:
+        conn = sqlite3.connect(self.path, check_same_thread=False)
+        self.register_udfs(conn)
+        self.opened.append(conn)
+        return conn
+
+
+class TestStagedScripts:
+    @pytest.fixture(params=[False, True], ids=["serial", "parallel"])
+    def parallel_bundles(self, request):
+        return request.param
+
+    def test_failed_member_leaves_connection_clean(self, parallel_bundles):
+        adapter = _SharedAdapter()
+        db = Connection(backend=SQLiteBackend(adapter=adapter),
+                        catalog=orders_dataset(25),
+                        parallel_bundles=parallel_bundles)
+        customers, orders = db.table("customers"), db.table("orders")
+        bad = pyq("[(cid, [oid // (c2 - c2) for (oid, c2, m) in orders"
+                  " if c2 == cid]) for (cid, name, region) in customers]",
+                  customers=customers, orders=orders)
+        assert db.compile(bad).bundle.size == 2
+        with pytest.raises(PartialFunctionError):
+            db.run(bad)
+        # the backend's own connection, plus one per worker thread
+        assert (len(adapter.opened) > 1) == parallel_bundles
+        for conn in adapter.opened:
+            assert conn.execute(
+                "SELECT * FROM sqlite_temp_master").fetchall() == []
+            assert not conn.in_transaction
+        engine = Connection(catalog=db.catalog)
+        assert db.run(nested_report(db)) == engine.run(nested_report(engine))
+
+    @pytest.mark.parametrize("kwargs", [{"backend": "sqlite"},
+                                        {"backend": "sqlite",
+                                         "parallel_bundles": True},
+                                        {"shards": 2}],
+                             ids=["sqlite", "parallel", "shards2"])
+    def test_catalog_table_named_like_a_generated_name(self, kwargs):
+        results = []
+        for db in (Connection(), Connection(**kwargs)):
+            db.create_table("t0001", [("a", int), ("b", str)],
+                            [(i % 3, f"s{i}") for i in range(6)])
+            db.create_table("t0003", [("a", int)], [(1,), (2,)])
+            t, u = db.table("t0001"), db.table("t0003")
+            results.append((
+                db.run(fmap(lambda r: r[1], t)),
+                db.run(pyq("[(a, [b for (a2, b) in t if a2 == a])"
+                           " for a in u]", t=t, u=u))))
+        assert results[1] == results[0]
+
+    def test_script_length_is_instance_independent(self):
+        def lengths(n):
+            db = Connection(backend="sqlite", catalog=orders_dataset(n))
+            return [len(db.backend.generate(query).script)
+                    for query in db.compile(nested_report(db)).bundle.queries]
+        assert lengths(40) == lengths(500)
+
+    @pytest.mark.parametrize("catalog", [paper_dataset(), orders_dataset(40)],
+                             ids=["paper", "orders40"])
+    def test_with_text_returns_the_script_rows(self, catalog):
+        db = Connection(backend="sqlite", catalog=catalog)
+        q = (running_example_query(db) if "facilities" in catalog.table_names()
+             else nested_report(db))
+        db.run(q)  # loads the catalog into the backend's connection
+        backend: SQLiteBackend = db.backend
+        for query in db.compile(q).bundle.queries:
+            gen = backend.generate(query)
+            assert gen.script[-1].startswith("SELECT")
+            rows = backend._conn.execute(gen.text).fetchall()
+            assert rows
+            assert rows == backend.run_sql(gen, query)

@@ -380,9 +380,11 @@ class CostModel:
                 return re_.rows, 0.0, re_.rows_hi
             hi = (None if le.rows_hi is None or re_.rows_hi is None
                   else le.rows_hi * re_.rows_hi)
-            # No distinct-value statistics: assume the join key is near
-            # unique on the larger side (|L||R| / max(|L|, |R|)).
-            return min(le.rows, re_.rows), 0.0, hi
+            # No distinct-value statistics: assume containment -- every
+            # row of the larger side finds a partner, as on a foreign-key
+            # join (|L||R| / min(|L|, |R|) distinct keys).
+            rows = max(le.rows, re_.rows)
+            return (rows if hi is None else min(rows, hi)), 0.0, hi
         if isinstance(node, SemiJoin):
             e = self.memo[id(node.left)]
             return e.rows, 0.0, e.rows_hi

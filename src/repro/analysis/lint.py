@@ -193,15 +193,28 @@ def _parse_assume(pairs: "list[str]") -> dict[str, int]:
     return assumed
 
 
-def _golden_workload(backend: str) -> "list[tuple[str, Any, Any]]":
+def _golden_workload(backend: str, categories: "int | None" = None
+                     ) -> "list[tuple[str, Any, Any]]":
     """(name, connection, query) triples of the golden workload: the
-    paper's running example plus a nested-orders report."""
+    paper's running example plus a nested-orders report -- or, given
+    ``categories``, the running example alone on
+    ``avalanche_dataset(categories)``, the size the benchmark runs."""
     from ..bench.table1 import running_example_query
-    from ..bench.workloads import orders_dataset, paper_dataset
+    from ..bench.workloads import (
+        avalanche_dataset,
+        orders_dataset,
+        paper_dataset,
+    )
     from ..frontend import fmap, pyq, tup
     from ..runtime.connection import Connection
 
     runs: list[tuple[str, Any, Any]] = []
+    if categories is not None:
+        db = Connection(backend=backend,
+                        catalog=avalanche_dataset(categories))
+        runs.append((f"running_example@{categories}", db,
+                     running_example_query(db)))
+        return runs
     db = Connection(backend=backend, catalog=paper_dataset())
     runs.append(("running_example", db, running_example_query(db)))
     orders = Connection(backend=backend,
@@ -223,7 +236,8 @@ def main(argv: "list[str] | None" = None) -> int:
     Exit 0 when every estimate lands inside the budget, 1 otherwise --
     usable as a CI gate.  ``--assume-rows table=N`` overrides the
     catalog statistics fed to the estimator (seeding a deliberate D500
-    to prove the gate trips).
+    to prove the gate trips); ``--categories N`` lints the running
+    example at benchmark scale instead.
     """
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis.lint",
@@ -238,13 +252,17 @@ def main(argv: "list[str] | None" = None) -> int:
                         metavar="TABLE=N",
                         help="override a table's row statistic "
                              "(repeatable; seeds misestimates)")
+    parser.add_argument("--categories", type=int, metavar="N",
+                        help="lint the running example alone on "
+                             "avalanche_dataset(N) instead")
     parser.add_argument("--json", action="store_true",
                         help="emit findings as JSON")
     args = parser.parse_args(argv)
     assumed = _parse_assume(args.assume_rows)
 
     findings: list[tuple[str, Diagnostic]] = []
-    for name, conn, query in _golden_workload(args.backend):
+    for name, conn, query in _golden_workload(args.backend,
+                                              args.categories):
         report = conn.explain(query, analyze=True)
         table_rows = dict(conn._table_stats())
         table_rows.update(assumed)

@@ -78,9 +78,8 @@ def run_table1(category_counts: tuple[int, ...] = (100, 500, 2000),
     HaskellDB avalanche blow up quadratically (each of its 1+N statements
     scans tables that grow with N) while the Ferry bundle stays at two
     queries -- the paper's "DNF" cell at 100k.  ``backend`` selects the
-    DSH execution backend; "engine" and "mil" scale linearly, while
-    "sqlite" is limited by SQLite's nested-loop-only joins over the
-    generated CTE pyramid (the paper used PostgreSQL).
+    DSH execution backend; all three scale linearly, "sqlite" a few
+    times behind the in-process backends (the paper used PostgreSQL).
     """
     rows = []
     for n in category_counts:

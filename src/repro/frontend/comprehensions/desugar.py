@@ -24,6 +24,7 @@ from __future__ import annotations
 from typing import Any, Callable, Mapping
 
 from ...errors import ComprehensionSyntaxError, QTypeError
+from ...expr import free_vars
 from ...ftypes import ListT
 from .. import combinators as C
 from ..q import Q, cond, max_q, min_q, nil, to_q, tup
@@ -72,7 +73,7 @@ Extractor = Callable[[Q], Q]
 def desugar_comprehension(comp: P.PComp, env: Scope) -> Q:
     """Lower a parsed comprehension to a combinator query."""
     stream, binders = None, {}
-    for qual in _schedule_guards(comp.quals):
+    for qual in _schedule_guards(comp, env):
         stream, binders = _step(qual, stream, binders, env)
     if stream is None:
         # No generator at all: [e | guards] behaves like a 0/1-element list.
@@ -88,19 +89,22 @@ def _conjuncts(e: P.PExpr) -> list[P.PExpr]:
     return [e]
 
 
-def _schedule_guards(quals: tuple[P.PQual, ...]) -> list[P.PQual]:
+def _schedule_guards(comp: P.PComp, env: Scope) -> list[P.PQual]:
     """Attach each guard conjunct at the earliest qualifier that binds its
     variables (classic comprehension guard pushdown).
 
     A conjunct that :func:`fusible` accepts for its target generator is
-    fused into that generator's source.  Filtering early keeps generator
-    cross products small -- the comprehension-level half of the paper's
-    "join graph isolation" [10]; the compiler's decorrelation rule
+    fused into that generator's source, after :func:`invariant_prefix` has
+    had the chance to reorder a loop-invariant generator prefix so that
+    its first generator is keyed to the loop.  Filtering early keeps
+    generator cross products small -- the comprehension-level half of the
+    paper's "join graph isolation" [10]; the compiler's decorrelation rule
     (``repro.core``) is the other half.
     Guards never move across a ``group by`` (it rebinds every variable);
     moving across sorts and unrelated generators is semantics-preserving
     for the pure predicates the query language admits.
     """
+    quals = _reorder_invariant_prefix(comp, env)
     slots: list[tuple[P.PQual, list[P.PExpr]]] = []  # (qual, guards after)
     bound_after: list[set[str]] = []  # names bound once slot i has run
     bound: set[str] = set()
@@ -120,10 +124,8 @@ def _schedule_guards(quals: tuple[P.PQual, ...]) -> list[P.PQual]:
             bound_after.append(set(bound))
             return
         qual, _ = slots[target]
-        sides = (conj.lhs, conj.rhs) if (isinstance(conj, P.PBin)
-                                         and conj.op == "eq") else ()
         if isinstance(qual, FusedGen) and fusible(
-                deps & bound, [_names(s) & bound for s in sides],
+                deps & bound, [s & bound for s in _eq_sides(conj)],
                 _pat_names(qual.pat)):
             qual.fused.append(conj)
         else:
@@ -172,6 +174,151 @@ def fusible(deps: set[str], eq_sides: list[set[str]],
     lhs, rhs = eq_sides
     return bool(lhs and lhs <= pat and not rhs & pat
                 or rhs and rhs <= pat and not lhs & pat)
+
+
+def invariant_prefix(gens: list[tuple[set[str], set[str]]],
+                     conjs: list[tuple[int, set[str], list[set[str]]]],
+                     later: set[str],
+                     varies: Callable[[str], bool]) -> list[int]:
+    """Invariant-prefix reordering: the order in which to bind the
+    comprehension's leading generators (empty when the rule does not
+    apply).
+
+    ``gens`` gives the source names and pattern names of each generator in
+    the comprehension's leading run of generators and guards; ``conjs``
+    gives each guard conjunct in that run the number of generators before
+    it, its names and, when it is an equality, the names of each side;
+    ``later`` holds the names bound after the run, and ``varies(name)``
+    says whether an environment value may differ per iteration (a
+    lambda-bound argument).
+
+    The rule applies to the longest run of at least two leading generators
+    whose sources mention neither a stream variable nor a varying name,
+    when a conjunct among them is a key equality between one generator's
+    pattern variables and a varying name (``fac == f``), that generator is
+    not the first (else guard fusion already keys the first source to the
+    loop), and non-varying key equalities among the generators join them
+    all (``feat == feat2``).  The loop-keyed generator goes first, then
+    repeatedly the earliest generator keyed to those before it, so guard
+    fusion (:func:`fusible`) turns every conjunct into a join key and the
+    decorrelation rule (``repro.core``) joins the first source to the loop
+    and each later one to the stream -- instead of crossing the loop with
+    the first source.  Every step then does work proportional to the rows
+    the loop reaches; the caller restores the comprehension's order by
+    sorting on the sources' positions.
+    """
+    closed: list[set[str]] = []  # pattern names of the closed generators
+    for src, pat in gens:
+        names = src | pat
+        if names & later.union(*closed) or any(map(varies, names)):
+            break
+        closed.append(pat)
+    for k in range(len(closed), 1, -1):
+        order = _join_order(closed[:k], gens[k:], conjs, later, varies)
+        if order:
+            return order
+    return []
+
+
+def _join_order(pats: list[set[str]], rest: list[tuple[set[str], set[str]]],
+                conjs: list[tuple[int, set[str], list[set[str]]]],
+                later: set[str], varies: Callable[[str], bool]) -> list[int]:
+    """:func:`invariant_prefix`'s order for the generators binding
+    ``pats`` (empty when it must leave them as they are)."""
+    k = len(pats)
+    bound: set[str] = set().union(*pats)
+    stream = later.union(*(pat for _, pat in rest))
+    if bound & stream:
+        return []
+
+    def varying(names: set[str]) -> bool:
+        return bool(names & stream) or any(map(varies, names - bound))
+
+    keys: list[list[set[str]]] = []  # prefix names of each equality's sides
+    loop_keys: list[set[str]] = []  # prefix side of each key to the loop
+    for after, names, sides in conjs:
+        if after > k or len(sides) != 2:
+            continue
+        if not varying(names):
+            keys.append([side & bound for side in sides])
+        for own, other in (sides, sides[::-1]):
+            if (own & bound and not varying(own)
+                    and not other & (bound | stream) and varying(other)):
+                loop_keys.append(own & bound)
+    keyed = [i for i in range(k) if any(own <= pats[i] for own in loop_keys)]
+    if not keyed or keyed[0] == 0:
+        return []
+    order = [keyed[0]]
+    while len(order) < k:
+        placed = set().union(*(pats[i] for i in order))
+        nxt = next((i for i in range(k) if i not in order and any(
+            lhs and rhs and (lhs <= pats[i] and rhs <= placed
+                             or rhs <= pats[i] and lhs <= placed)
+            for lhs, rhs in keys)), None)
+        if nxt is None:
+            return []  # not one connected join: reordering would cross
+        order.append(nxt)
+    return order
+
+
+def value_varies(value: Any) -> bool:
+    """Whether an environment value may differ per iteration: a query with
+    free variables (a lambda-bound argument), or a Python function, whose
+    closure the desugarer cannot see."""
+    if isinstance(value, Q):
+        return bool(free_vars(value.exp))
+    return callable(value)
+
+
+def position_var(i: int) -> str:
+    """The variable bound to the position of the prefix's ``i``-th source
+    after reordering; no identifier a user can write."""
+    return f"#{i}"
+
+
+def _reorder_invariant_prefix(comp: P.PComp,
+                              env: Scope) -> tuple[P.PQual, ...]:
+    """Rewrite ``[e | p1 <- s1, p2 <- s2, g, rest]`` into
+    ``[e | (p2, #1) <- number(s2), (p1, #0) <- number(s1),
+    then sortWith by (#0, #1), g, rest]`` in the order
+    :func:`invariant_prefix` picks; the sort binds the prefix in its
+    original order again before ``rest``."""
+    quals = comp.quals
+    lead = 0
+    while lead < len(quals) and isinstance(quals[lead], (P.PGen, P.PGuard)):
+        lead += 1
+    if sum(isinstance(q, P.PGen) for q in quals[:lead]) < 2:
+        return quals  # the common case; skip the name analysis
+    gens: list[tuple[set[str], set[str]]] = []
+    conjs: list[tuple[int, set[str], list[set[str]]]] = []
+    for qual in quals[:lead]:
+        if isinstance(qual, P.PGen):
+            gens.append((_names(qual.src), _pat_names(qual.pat)))
+        elif isinstance(qual, P.PGuard):
+            conjs.extend((len(gens), _names(c), _eq_sides(c))
+                         for c in _conjuncts(qual.cond))
+    later: set[str] = set()
+    for qual in quals[lead:]:
+        if isinstance(qual, P.PGen):
+            later |= _pat_names(qual.pat)
+        elif isinstance(qual, P.PLet):
+            later.add(qual.name)
+    order = invariant_prefix(gens, conjs, later,
+                             lambda n: value_varies(env.get(n)))
+    if not order:
+        return quals
+    at = [i for i, q in enumerate(quals[:lead]) if isinstance(q, P.PGen)]
+    numbered: list[P.PQual] = []
+    for i in order:
+        gen = quals[at[i]]
+        # the source is closed: number it now and bind it as a literal query
+        src = C.number(_as_list_source(_eval(gen.src, dict(env))))
+        numbered.append(P.PGen(
+            P.PTuplePat((gen.pat, P.PVarPat(position_var(i)))), P.PLit(src)))
+    key = P.PTuple(tuple(P.PVar(position_var(i)) for i in range(len(order))))
+    moved = {at[i] for i in order}
+    rest = [q for j, q in enumerate(quals) if j not in moved]
+    return (*numbered, P.PSort(key, False), *rest)
 
 
 class FusedGen(P.PQual):
@@ -329,15 +476,24 @@ def _names(e: P.PExpr) -> set[str]:
     return out
 
 
-def _pat_names(pat: P.PPat) -> set[str]:
+def _eq_sides(e: P.PExpr) -> list[set[str]]:
+    """The names of each side of an equality (empty for anything else)."""
+    if isinstance(e, P.PBin) and e.op == "eq":
+        return [_names(e.lhs), _names(e.rhs)]
+    return []
+
+
+def _pat_vars(pat: P.PPat) -> list[str]:
+    """The variables a pattern binds, left to right."""
     if isinstance(pat, P.PVarPat):
-        return {pat.name}
+        return [pat.name]
     if isinstance(pat, P.PTuplePat):
-        names: set[str] = set()
-        for sub in pat.parts:
-            names |= _pat_names(sub)
-        return names
-    return set()
+        return [n for sub in pat.parts for n in _pat_vars(sub)]
+    return []
+
+
+def _pat_names(pat: P.PPat) -> set[str]:
+    return set(_pat_vars(pat))
 
 
 def _comp_free_names(comp: P.PComp) -> set[str]:

@@ -18,7 +18,11 @@ mapping of Python builtins onto the query prelude (``len`` -> ``length``,
 As in ``qc``, each ``and`` conjunct of an ``if`` that ``desugar.fusible``
 accepts filters its generator's source before the source is paired with
 the stream, so an equality across generators (``f == f2`` above) compiles
-to a join key rather than a filter over a cross product.
+to a join key rather than a filter over a cross product; and when the
+leading generators are loop invariant and a conjunct keys a later one to a
+lambda-bound value (``fac == x``), that generator is bound first
+(``desugar.invariant_prefix``) and the prefix's order restored by a sort,
+so no generator is crossed with the loop.
 
 Python has no ``group by`` comprehension syntax; grouping is reached via
 ``group_with`` / the ``qc`` quoter.
@@ -33,7 +37,7 @@ from ...errors import ComprehensionSyntaxError, QTypeError
 from ...ftypes import ListT
 from .. import combinators as C
 from ..q import Q, cond, max_q, min_q, to_q, tup
-from .desugar import fusible
+from .desugar import fusible, invariant_prefix, position_var, value_varies
 
 
 def pyq(source: str, **env: Any) -> Q:
@@ -66,26 +70,76 @@ def _comp(node: "ast.ListComp | ast.GeneratorExp", env: dict) -> Q:
     stream: Q | None = None
     binders: dict[str, Callable[[Q], Q]] = {}
     bound: set[str] = set()
-    for gen in node.generators:
+    gens, positions = _reorder_invariant_prefix(node, env)
+    for n, gen in enumerate(gens, 1):
         if gen.is_async:
             raise ComprehensionSyntaxError("async comprehensions are not queries")
         pat = _names(gen.target)
         bound |= pat
         fused, after = [], []
         for conj in (c for guard in gen.ifs for c in _conjuncts(guard)):
-            sides = ([conj.left, conj.comparators[0]]
-                     if isinstance(conj, ast.Compare) and len(conj.ops) == 1
-                     and isinstance(conj.ops[0], ast.Eq) else [])
             key = fusible(_names(conj) & bound,
-                          [_names(s) & bound for s in sides], pat)
+                          [_names(s) & bound for s in _eq_sides(conj)], pat)
             (fused if key else after).append(conj)
         stream, binders = _add_gen(gen.target, gen.iter, fused, stream,
                                    binders, env)
         for guard in after:
             stream = C.ffilter(
                 lambda t, g=guard: _expr(g, _scope(binders, t, env)), stream)
+        if n == len(positions):  # the reordered prefix, in its own order
+            stream = C.sort_with(
+                lambda t, b=binders: tup(*(b[p](t) for p in positions)),
+                stream)
     assert stream is not None  # Python grammar guarantees >= 1 generator
     return C.fmap(lambda t: _expr(node.elt, _scope(binders, t, env)), stream)
+
+
+def _reorder_invariant_prefix(node: "ast.ListComp | ast.GeneratorExp",
+                              env: dict) -> tuple[list[ast.comprehension],
+                                                  list[str]]:
+    """``qc``'s invariant-prefix reordering (``desugar.invariant_prefix``):
+    the generators with the prefix reordered and each of its sources
+    numbered, and the position variables, in the prefix's original order,
+    that the caller sorts by once the prefix is bound (none when the rule
+    does not apply)."""
+    gens = node.generators
+    if len(gens) < 2:
+        return gens, []  # the common case; skip the name analysis
+    conjs = [(i + 1, c) for i, gen in enumerate(gens)
+             for guard in gen.ifs for c in _conjuncts(guard)]
+    order = invariant_prefix(
+        [(_names(g.iter), _names(g.target)) for g in gens],
+        [(after, _names(c), [_names(s) for s in _eq_sides(c)])
+         for after, c in conjs],
+        set(), lambda n: value_varies(env.get(n)))
+    if not order:
+        return gens, []
+    k = len(order)
+    bound_after: list[set[str]] = []  # prefix names bound after each
+    for i in order:
+        bound_after.append(_names(gens[i].target).union(*bound_after[-1:]))
+    # a prefix conjunct filters the first generator that binds its names
+    ifs: list[list[ast.expr]] = [[] for _ in order]
+    for after, conj in conjs:
+        if after <= k:
+            need = _names(conj) & bound_after[-1]
+            j = next(j for j, b in enumerate(bound_after) if need <= b)
+            ifs[j].append(conj)
+    numbered = [ast.comprehension(
+        ast.Tuple([gens[i].target, ast.Name(position_var(i), ast.Store())],
+                  ast.Store()),
+        # the source is closed: number it now and bind it as a constant
+        ast.Constant(C.number(_as_list(_expr(gens[i].iter, dict(env))))),
+        ifs[j], 0) for j, i in enumerate(order)]
+    return [*numbered, *gens[k:]], [position_var(i) for i in range(k)]
+
+
+def _eq_sides(conj: ast.expr) -> list[ast.expr]:
+    """The two sides of a single equality comparison (else empty)."""
+    if (isinstance(conj, ast.Compare) and len(conj.ops) == 1
+            and isinstance(conj.ops[0], ast.Eq)):
+        return [conj.left, conj.comparators[0]]
+    return []
 
 
 def _conjuncts(node: ast.expr) -> list[ast.expr]:

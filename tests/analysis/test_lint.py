@@ -170,6 +170,10 @@ class TestCLI:
         assert lint.main([]) == 0
         assert "clean" in capsys.readouterr().out
 
+    def test_running_example_at_scale_is_clean(self, capsys):
+        assert lint.main(["--categories", "200"]) == 0
+        assert "clean" in capsys.readouterr().out
+
     def test_seeded_misestimate_trips_the_gate(self, capsys):
         # The ISSUE's acceptance check: a deliberate stats lie must
         # produce D500 findings and a non-zero exit.

@@ -2,13 +2,15 @@
 
 import pytest
 
-from repro import Connection, ffilter, fmap, table
+from repro import Q, Connection, ffilter, fmap, qc, table, to_q
+from repro.expr import VarE
 from repro.frontend.comprehensions import parser as P
 from repro.frontend.comprehensions.desugar import (
     FusedGen,
     _conjuncts,
     _schedule_guards,
 )
+from repro.ftypes import IntT, ListT, TupleT
 from repro.semantics import Interpreter
 
 
@@ -22,15 +24,15 @@ def db():
 
 
 class TestGuardScheduling:
-    def parse(self, src):
-        return P.parse_comprehension(src).quals
+    def schedule(self, src):
+        return _schedule_guards(P.parse_comprehension(src), {})
 
     def test_conjunct_split(self):
         expr = P.parse_expression("a and b and c")
         assert len(_conjuncts(expr)) == 3
 
     def test_single_generator_guard_fused(self):
-        quals = _schedule_guards(self.parse("[x | x <- xs, x > 1]"))
+        quals = self.schedule("[x | x <- xs, x > 1]")
         (gen,) = quals
         assert isinstance(gen, FusedGen)
         assert len(gen.fused) == 1
@@ -38,35 +40,32 @@ class TestGuardScheduling:
     def test_cross_generator_key_equality_fuses(self):
         # x == y: the y side mentions only y's pattern, the x side none of
         # it -- a join key for the decorrelation rule
-        quals = _schedule_guards(self.parse(
-            "[x | x <- xs, y <- ys, x == y]"))
+        quals = self.schedule("[x | x <- xs, y <- ys, x == y]")
         assert len(quals) == 2
         assert isinstance(quals[0], FusedGen) and not quals[0].fused
         assert isinstance(quals[1], FusedGen) and len(quals[1].fused) == 1
 
     def test_mixed_guard_splits_across_generators(self):
-        quals = _schedule_guards(self.parse(
-            "[x | x <- xs, y <- ys, x > 1 and y > 2 and x == y]"))
+        quals = self.schedule(
+            "[x | x <- xs, y <- ys, x > 1 and y > 2 and x == y]")
         assert len(quals) == 2
         assert len(quals[0].fused) == 1   # x > 1
         assert len(quals[1].fused) == 2   # y > 2, x == y
 
     def test_cross_generator_inequality_stays_after(self):
-        quals = _schedule_guards(self.parse(
-            "[x | x <- xs, y <- ys, x < y]"))
+        quals = self.schedule("[x | x <- xs, y <- ys, x < y]")
         assert not quals[0].fused and not quals[1].fused
         assert isinstance(quals[2], P.PGuard)
 
     def test_mixed_side_equality_stays_after(self):
         # pattern (y) and outer (x) variables on the same side: no key
-        quals = _schedule_guards(self.parse(
-            "[x | x <- xs, (y, z) <- ys, x + y == z]"))
+        quals = self.schedule("[x | x <- xs, (y, z) <- ys, x + y == z]")
         assert not quals[0].fused and not quals[1].fused
         assert isinstance(quals[2], P.PGuard)
 
     def test_key_equality_never_crosses_group_by(self):
-        quals = _schedule_guards(self.parse(
-            "[the(x) | x <- xs, y <- ys, then group by x, x == y]"))
+        quals = self.schedule(
+            "[the(x) | x <- xs, y <- ys, then group by x, x == y]")
         assert not quals[0].fused and not quals[1].fused
         assert isinstance(quals[2], P.PGroup)
         assert isinstance(quals[3], P.PGuard)
@@ -74,23 +73,163 @@ class TestGuardScheduling:
     def test_key_equality_fuses_into_later_generator(self):
         # the x side is bound two generators earlier: the conjunct fuses
         # into z's generator, where its last variable is bound
-        quals = _schedule_guards(self.parse(
-            "[x | x <- xs, y <- ys, z <- zs, z == x]"))
+        quals = self.schedule("[x | x <- xs, y <- ys, z <- zs, z == x]")
         assert len(quals) == 3
         assert not quals[0].fused and not quals[1].fused
         assert len(quals[2].fused) == 1
 
     def test_guard_never_crosses_group_by(self):
-        quals = _schedule_guards(self.parse(
-            "[the(x) | x <- xs, then group by x, length(x) > 1]"))
+        quals = self.schedule(
+            "[the(x) | x <- xs, then group by x, length(x) > 1]")
         # the guard references x *after* grouping; it must stay there
         assert isinstance(quals[-1], P.PGuard)
         assert not quals[0].fused
 
     def test_free_variable_guard_fuses_into_generator(self):
-        quals = _schedule_guards(self.parse("[v | (k, v) <- t, k == x]"))
+        quals = self.schedule("[v | (k, v) <- t, k == x]")
         (gen,) = quals
         assert len(gen.fused) == 1
+
+
+class TestInvariantPrefixReordering:
+    """Leading generators over loop-invariant sources, joined by key
+    equalities, one of them keyed to a lambda-bound ``f`` past the first:
+    that one is bound first, each source numbered, and the prefix's order
+    restored by a sort on the positions."""
+
+    ENV = {"f": Q(VarE("f", IntT)), "g": Q(VarE("g", ListT(IntT))),
+           **{name: to_q([(1, 2)], hint=ListT(TupleT((IntT, IntT))))
+              for name in ("ms", "fs", "t")},
+           **{name: to_q([1, 2], hint=ListT(IntT))
+              for name in ("xs", "ys", "zs")}}
+
+    def schedule(self, src):
+        return _schedule_guards(P.parse_comprehension(src), self.ENV)
+
+    @staticmethod
+    def pair(a, b):
+        return P.PTuplePat((P.PVarPat(a), P.PVarPat(b)))
+
+    @staticmethod
+    def numbered(gen, pat, position):
+        """``gen`` binds ``(pat, #position)`` from a numbered source."""
+        return (isinstance(gen, FusedGen) and isinstance(gen.src, P.PLit)
+                and gen.pat == P.PTuplePat((pat, P.PVarPat(position))))
+
+    def test_running_example_shape_reorders(self):
+        quals = self.schedule("[m | (e, m) <- ms, (a, e2) <- fs,"
+                              " e == e2 and a == f]")
+        assert [type(q) for q in quals] == [FusedGen, FusedGen, P.PSort]
+        fs, ms, by = quals
+        assert self.numbered(fs, self.pair("a", "e2"), "#1")
+        assert fs.fused == [P.parse_expression("a == f")]  # loop key
+        assert self.numbered(ms, self.pair("e", "m"), "#0")
+        assert ms.fused == [P.parse_expression("e == e2")]  # join key
+        assert by.key == P.PTuple((P.PVar("#0"), P.PVar("#1")))
+
+    def test_source_mentioning_lambda_bound_variable(self):
+        quals = self.schedule("[x | x <- g, y <- ys, x == y, y == f]")
+        assert [type(q) for q in quals] == [FusedGen, FusedGen]
+        assert quals[0].src == P.PVar("g")
+
+    def test_correlated_inequality_does_not_reorder(self):
+        quals = self.schedule("[m | (e, m) <- ms, (a, e2) <- fs,"
+                              " e == e2, a < f]")
+        assert [type(q) for q in quals] == [FusedGen, FusedGen]
+        assert quals[0].src == P.PVar("ms")
+
+    def test_guard_across_group_by_does_not_reorder(self):
+        quals = self.schedule("[the(x) | x <- xs, y <- ys, x == y,"
+                              " then group by x, the(y) == f]")
+        assert quals[0].src == P.PVar("xs")
+        assert isinstance(quals[2], P.PGroup)
+
+    def test_unconnected_prefix_does_not_reorder(self):
+        # no key equality joins xs to ys: reordering would cross them
+        for src in ("[x | x <- xs, y <- ys, x == f]",
+                    "[x | x <- xs, y <- ys, y == f]"):
+            quals = self.schedule(src)
+            assert [type(q) for q in quals] == [FusedGen, FusedGen], src
+            assert quals[0].src == P.PVar("xs"), src
+
+    def test_loop_key_on_first_generator_does_not_reorder(self):
+        # x == f already keys xs to the loop: there is no cross to remove
+        quals = self.schedule("[y | x <- xs, y <- ys, x == y, x == f]")
+        assert [type(q) for q in quals] == [FusedGen, FusedGen]
+        assert quals[0].src == P.PVar("xs") and len(quals[0].fused) == 1
+
+    def test_connected_three_generator_prefix_reorders(self):
+        quals = self.schedule("[z | x <- xs, y <- ys, z <- zs,"
+                              " x == y, y == z, z == f]")
+        assert [type(q) for q in quals] == [FusedGen] * 3 + [P.PSort]
+        for gen, (name, i) in zip(quals, [("z", 2), ("y", 1), ("x", 0)]):
+            assert self.numbered(gen, P.PVarPat(name), f"#{i}")
+            assert len(gen.fused) == 1  # z == f, then y == z, then x == y
+
+    def test_unkeyed_later_generator_stays_after_the_sort(self):
+        quals = self.schedule("[z | x <- xs, y <- ys, x == y, y == f,"
+                              " z <- zs]")
+        assert [type(q) for q in quals] == [FusedGen, FusedGen, P.PSort,
+                                            FusedGen]
+        assert self.numbered(quals[0], P.PVarPat("y"), "#1")
+        assert quals[3].src == P.PVar("zs")
+
+    def test_pyq_applies_the_same_rule(self):
+        import ast
+
+        from repro.frontend.comprehensions.pyfrontend import (
+            _reorder_invariant_prefix,
+        )
+
+        def positions(src):
+            node = ast.parse(src, mode="eval").body
+            return _reorder_invariant_prefix(node, self.ENV)[1]
+
+        assert positions("[m for (e, m) in ms for (a, e2) in fs"
+                         " if e == e2 and a == f]") == ["#0", "#1"]
+        for src in ("[x for x in xs for y in ys if y == f]",
+                    "[y for x in xs for y in ys if x == y and x == f]"):
+            assert positions(src) == [], src
+
+    def test_single_generator_does_not_reorder(self):
+        (gen,) = self.schedule("[v | (k, v) <- t, k == f]")
+        assert gen.src == P.PVar("t") and len(gen.fused) == 1
+
+    def test_reordered_query_keeps_the_written_order(self):
+        # o meets two ys rows that each meet two xs rows: the written
+        # order is xs-major, the reordered join ys-major until sorted.
+        # The interpreter runs the desugared query, so Python is the oracle.
+        from repro import pyq
+        pairs = ListT(TupleT((IntT, IntT)))
+        xs, ys, outer = [(0, 0), (1, 0)], [(0, 1), (0, 1)], [1, 0]
+        env = {"xs": to_q(xs, hint=pairs), "ys": to_q(ys, hint=pairs)}
+        expected = [[a for (a, b) in xs for (c, d) in ys
+                     if b == c and d == o] for o in outer]
+        assert expected == [[0, 0, 1, 1], []]
+        loop = to_q(outer, hint=ListT(IntT))
+        for q in (fmap(lambda o: qc("[a | (a, b) <- xs, (c, d) <- ys,"
+                                    " b == c, d == o]", o=o, **env), loop),
+                  fmap(lambda o: pyq("[a for (a, b) in xs for (c, d) in ys"
+                                     " if b == c and d == o]", o=o, **env),
+                       loop)):
+            for backend in ("engine", "sqlite", "mil"):
+                assert Connection(backend=backend).run(q) == expected
+
+    def test_reordered_query_matches_oracle(self, db):
+        t, nums = db.table("t"), db.table("nums")
+        naive = Connection(catalog=db.catalog, decorrelate=False)
+        for src in ("[(v, w) | (k, v) <- t, (k2, w) <- t,"
+                    " k == k2 and k2 == f % 4]",
+                    # a generator after the prefix sees it in its order
+                    "[(v, w, n) | (k, v) <- t, (k2, w) <- t, k == k2,"
+                    " k2 == f % 4, n <- nums, n < 2]",
+                    # the loop key on the last generator: bound first
+                    "[(v, w, n) | (k, v) <- t, (k2, w) <- t, n <- nums,"
+                    " k == k2, k2 == n, n == f % 4]"):
+            q = fmap(lambda f: qc(src, t=t, nums=nums, f=f), nums)
+            oracle = Interpreter(db.catalog).run(q.exp)
+            assert db.run(q) == oracle, src
+            assert naive.run(q) == oracle, src
 
 
 class TestDecorrelationSemantics:
@@ -186,10 +325,13 @@ def _running_example_in_python(catalog):
 
 
 class TestKeyEqualityFusion:
-    """``feat == feat2`` in the running example's ``descrFacility`` is a
-    cross-generator key equality: fused into the ``features`` generator,
-    it becomes an ``EqJoin`` key instead of a filter over the loop x
-    meanings x features product.  Row counters, not times: exact."""
+    """In the running example's ``descrFacility``, ``feat == feat2`` is a
+    cross-generator key equality between two loop-invariant generators and
+    ``fac == f`` correlates ``features`` with the facility loop: the
+    generators are reordered, ``features`` joined to the loop on ``fac``
+    and ``meanings`` to that on ``feat``, and the pairs sorted back into
+    ``meanings``-major order -- no loop x meanings cross.  Row counters,
+    not times: exact."""
 
     def test_running_example_rows_at_scale(self):
         from repro.bench.table1 import running_example_query
@@ -205,13 +347,14 @@ class TestKeyEqualityFusion:
         db = Connection(catalog=catalog)
         q = running_example_query(db)
         report = db.explain(q, analyze=True)
-        # |loop| x |meanings| = 200 x 64, the cross the generator order needs
-        assert _peak_rows(report) <= 12_800
+        # every facility reaches its own features, each of which meets one
+        # meaning: no operator exceeds |features|
+        assert _peak_rows(report) <= len(catalog.rows("features"))
         assert not [d for d in report.drift if d.code == "D500"]
         assert db.run(q) == _running_example_in_python(catalog)
 
     def test_pyq_and_qc_spellings_compile_alike(self):
-        from repro import pyq, qc
+        from repro import pyq
         from repro.algebra import node_count
         from repro.bench.table1 import running_example_query
         from repro.bench.workloads import avalanche_dataset
@@ -237,4 +380,4 @@ class TestKeyEqualityFusion:
             shapes.append((node_count(q2.plan),
                            _peak_rows(db.explain(q, analyze=True))))
         assert shapes[0] == shapes[1]
-        assert shapes[0][1] <= 100 * 64
+        assert shapes[0][1] <= len(db.catalog.rows("features"))

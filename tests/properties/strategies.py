@@ -276,16 +276,63 @@ def key_join_comprehension(draw):
     """``[head | (a, b) <- xs, (c, d) <- ys, key and rest]`` spelled with
     ``qc`` or ``pyq``: the key equality correlates the two generators (so
     guard fusion turns it into a join key), the rest is a plain filter.
-    Sources may be empty and share no key."""
+    Sources may be empty and share no key.  Drawn with its value, Python's
+    own evaluation of the comprehension (see
+    :func:`reordered_join_comprehension`)."""
     k = str(draw(st.integers(0, 3)))
     key = draw(st.sampled_from(_KEYS)).replace("K", k)
     rest = draw(st.sampled_from(_RESTS)).replace("K", k)
     conjuncts = draw(st.permutations([key, rest]))
     head = draw(st.sampled_from(["(a, d)", "a + d"]))
-    env = {name: to_q(draw(_keyed_pairs), hint=_PAIRS_T)
-           for name in ("xs", "ys")}
+    data = {name: draw(_keyed_pairs) for name in ("xs", "ys")}
+    env = {name: to_q(rows, hint=_PAIRS_T) for name, rows in data.items()}
+    python = (f"[{head} for (a, b) in xs for (c, d) in ys"
+              f" if {conjuncts[0]} and {conjuncts[1]}]")
     if draw(st.booleans()):
-        return qc(f"[{head} | (a, b) <- xs, (c, d) <- ys,"
-                  f" {conjuncts[0]}, {conjuncts[1]}]", **env)
-    return pyq(f"[{head} for (a, b) in xs for (c, d) in ys"
-               f" if {conjuncts[0]} and {conjuncts[1]}]", **env)
+        q = qc(f"[{head} | (a, b) <- xs, (c, d) <- ys,"
+               f" {conjuncts[0]}, {conjuncts[1]}]", **env)
+    else:
+        q = pyq(python, **env)
+    return q, eval(python, data)
+
+
+#: Conjuncts correlating ``[.. | (a, b) <- xs, (c, d) <- ys, ..]`` with
+#: the iterated ``o``: a key equality (either side first), optionally
+#: with a correlated conjunct that is not one.
+_CORRELATED = ("d == o", "o == d", "d == o and a < o", "c + d == o")
+
+
+@st.composite
+def reordered_join_comprehension(draw):
+    """``fmap(λo. [head | (a, b) <- xs, (c, d) <- ys, b == c, d == o],
+    outer)`` spelled with ``qc`` or ``pyq``, with its value: both sources
+    are loop invariant and ``d == o`` correlates ``ys`` with the iteration,
+    so invariant-prefix reordering binds ``ys`` first, keyed by ``o``,
+    joins ``xs`` to it on ``b == c`` and sorts the pairs back into
+    ``xs``-major order.  Keys repeat; sources may be empty and an ``o`` may
+    match nothing.  Keys take two values, so an ``o`` often meets several
+    ``ys`` rows that each meet several ``xs`` rows -- the case where the
+    written and the reordered orders differ.  The value is
+    Python's own evaluation of the comprehension, so it also checks the
+    desugarer, which the interpreter's oracle runs downstream of."""
+    correlated = draw(st.sampled_from(_CORRELATED))
+    conjuncts = draw(st.permutations(["b == c", correlated]))
+    head = draw(st.sampled_from(["(a, d)", "a + o", "a"]))
+    bit = st.integers(0, 1)
+    data = {"xs": draw(st.lists(st.tuples(st.integers(0, 3), bit),
+                                max_size=6)),
+            "ys": draw(st.lists(st.tuples(bit, bit), max_size=6))}
+    env = {name: to_q(rows, hint=_PAIRS_T) for name, rows in data.items()}
+    outer = draw(st.lists(st.integers(-1, 2), max_size=4))
+    python = (f"[{head} for (a, b) in xs for (c, d) in ys"
+              f" if {conjuncts[0]} and {conjuncts[1]}]")
+    expected = [eval(python, {**data, "o": o}) for o in outer]
+    if draw(st.booleans()):
+        q = fmap(lambda o: qc(
+            f"[{head} | (a, b) <- xs, (c, d) <- ys,"
+            f" {conjuncts[0]}, {conjuncts[1]}]", o=o, **env),
+            to_q(outer, hint=ListT(IntT)))
+    else:
+        q = fmap(lambda o: pyq(python, o=o, **env),
+                 to_q(outer, hint=ListT(IntT)))
+    return q, expected

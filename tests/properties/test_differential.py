@@ -20,6 +20,7 @@ from repro.semantics import Interpreter
 
 from .strategies import (
     any_query,
+    reordered_join_comprehension,
     int_list_query,
     key_join_comprehension,
     nested_query,
@@ -42,6 +43,22 @@ def run_everywhere(q):
     assert par.run(q) == expected, "parallel bundle execution diverged"
     sharded = Connection(shards=SHARDS, catalog=CATALOG)
     assert sharded.run(q) == expected, "sharded SQL execution diverged"
+    return expected
+
+
+def run_verified(q):
+    """Every backend, re-verified after each optimizer pass, and the plan
+    without decorrelation must agree with the interpreter."""
+    previous = set_verify_debug(True)
+    try:
+        expected = Interpreter(CATALOG).run(q.exp)
+        for backend in ("engine", "sqlite", "mil"):
+            db = Connection(backend=backend, catalog=CATALOG)
+            assert db.run(q) == expected, f"{backend} diverged"
+        naive = Connection(catalog=CATALOG, decorrelate=False)
+        assert naive.run(q) == expected, "decorrelate=False diverged"
+    finally:
+        set_verify_debug(previous)
     return expected
 
 
@@ -68,17 +85,16 @@ class TestDifferential:
 
     @SETTINGS
     @given(key_join_comprehension())
-    def test_key_equality_joins(self, q):
-        """Guard fusion turns the cross-generator equality into a join key;
-        every backend, re-verified after each optimizer pass, and the plan
-        without decorrelation must still agree with the interpreter."""
-        previous = set_verify_debug(True)
-        try:
-            expected = Interpreter(CATALOG).run(q.exp)
-            for backend in ("engine", "sqlite", "mil"):
-                db = Connection(backend=backend, catalog=CATALOG)
-                assert db.run(q) == expected, f"{backend} diverged"
-            naive = Connection(catalog=CATALOG, decorrelate=False)
-            assert naive.run(q) == expected, "decorrelate=False diverged"
-        finally:
-            set_verify_debug(previous)
+    def test_key_equality_joins(self, case):
+        """Guard fusion turns the cross-generator equality into a join
+        key."""
+        q, expected = case
+        assert run_verified(q) == expected
+
+    @SETTINGS
+    @given(reordered_join_comprehension())
+    def test_reordered_invariant_joins(self, case):
+        """Invariant-prefix reordering keys the second generator by the
+        iteration first and restores the comprehension's order."""
+        q, expected = case
+        assert run_verified(q) == expected
